@@ -27,4 +27,10 @@ void ChannelRouter::accept(LineRequest line, sim::TimePs now) {
   channels_[ch]->accept(line, now);
 }
 
+void ChannelRouter::set_space_waker(sim::Clocked* upstream) {
+  for (SlaveIf* c : channels_) {
+    c->set_space_waker(upstream);
+  }
+}
+
 }  // namespace fgqos::axi

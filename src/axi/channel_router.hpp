@@ -42,6 +42,8 @@ class ChannelRouter final : public SlaveIf {
   [[nodiscard]] bool can_accept(const LineRequest& line,
                                 sim::TimePs now) const override;
   void accept(LineRequest line, sim::TimePs now) override;
+  /// Forwards to every channel: each wakes \p upstream when it frees space.
+  void set_space_waker(sim::Clocked* upstream) override;
 
  private:
   std::vector<SlaveIf*> channels_;

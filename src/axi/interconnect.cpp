@@ -18,6 +18,7 @@ MasterPort& Interconnect::add_master(MasterPortConfig cfg) {
   const auto id = static_cast<MasterId>(ports_.size());
   ports_.push_back(std::make_unique<MasterPort>(*this, id, std::move(cfg)));
   eligible_.resize(ports_.size());
+  polls_.resize(ports_.size());
   return *ports_.back();
 }
 
@@ -42,16 +43,28 @@ void Interconnect::set_attribution(telemetry::AttributionEngine* engine) {
   }
 }
 
+void Interconnect::set_slave(SlaveIf& slave) {
+  slave_ = &slave;
+  slave.set_space_waker(this);
+}
+
 void Interconnect::notify_work(sim::TimePs ready_at) { wake_at(ready_at); }
 
-bool Interconnect::tick(sim::Cycles /*cycle*/) {
+bool Interconnect::tick(sim::Cycles cycle) {
   FGQOS_ASSERT(slave_ != nullptr, "Interconnect: slave not wired");
   const sim::TimePs now = simulator().now();
+  if (attr_ != nullptr && cycle > last_tick_ + 1) {
+    // No head changed state on the skipped edges (every change wakes the
+    // crossbar): charge them in one slice, as the last of them saw it.
+    attribution_pass(clock().edge_time(cycle - 1), -1);
+  }
+  last_tick_ = cycle;
   // Single exit: the grant loop only ever breaks (never returns) so the
   // end-of-tick attribution pass runs on every tick, including the
   // locked-burst stall paths.
   int first_granted = -1;
   bool hold = false;
+  bool polled = false;  // polls_ describes the state after the grants
   for (std::size_t grant = 0; grant < cfg_.issue_width && !hold; ++grant) {
     int pick = -1;
     if (locked_master_ >= 0) {
@@ -82,17 +95,8 @@ bool Interconnect::tick(sim::Cycles /*cycle*/) {
       }
     }
     if (pick < 0) {
-      bool any = false;
-      for (std::size_t i = 0; i < ports_.size(); ++i) {
-        bool ok = ports_[i]->has_grantable_line(now);
-        if (ok) {
-          // The slave must also have room for this specific line.
-          ok = slave_->can_accept(ports_[i]->peek_line(now), now);
-        }
-        eligible_[i] = ok;
-        any = any || ok;
-      }
-      if (!any) {
+      polled = true;
+      if (!poll_ports(now)) {
         break;
       }
       pick = arbiter_->pick(eligible_, now);
@@ -100,6 +104,7 @@ bool Interconnect::tick(sim::Cycles /*cycle*/) {
         break;
       }
     }
+    polled = false;
     LineRequest line =
         ports_[static_cast<std::size_t>(pick)]->commit_grant(now);
     slave_->accept(line, now);
@@ -116,15 +121,81 @@ bool Interconnect::tick(sim::Cycles /*cycle*/) {
   if (attr_ != nullptr) {
     attribution_pass(now, first_granted);
   }
-  if (hold) {
-    return true;
+  if (!polled) {
+    poll_ports(now);
   }
-  // Keep ticking while any port has queued or in-flight work; requests that
-  // are currently gate-blocked still need periodic re-evaluation.
-  for (const auto& p : ports_) {
-    if (p->has_pending_work()) {
-      return true;
+  return keep_ticking(now);
+}
+
+bool Interconnect::poll_ports(sim::TimePs now) {
+  bool any = false;
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    MasterPort& p = *ports_[i];
+    const MasterPort::BlockReason reason = p.grant_block_reason(now);
+    // The slave must also have room for this specific line. A
+    // rate-limited head is asked too: keep_ticking() needs the answer.
+    const bool ask = reason == MasterPort::BlockReason::kNone ||
+                     (reason == MasterPort::BlockReason::kRateLimit &&
+                      attr_ == nullptr);
+    const bool accepts = ask && slave_->can_accept(p.peek_line(now), now);
+    polls_[i] = {reason, accepts};
+    eligible_[i] = reason == MasterPort::BlockReason::kNone && accepts;
+    any = any || eligible_[i];
+  }
+  return any;
+}
+
+bool Interconnect::keep_ticking(sim::TimePs now) {
+  sim::TimePs next = sim::kTimeNever;
+  bool waiting = false;
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    MasterPort& p = *ports_[i];
+    const PortPoll& poll = polls_[i];
+    switch (poll.reason) {
+      case MasterPort::BlockReason::kRateLimit:
+        // While the slave refuses the head line, the port freeing up
+        // changes nothing: the slave's space-freed wake decides. Blame
+        // (self -> fabric_arb) and a held lock still see the port free.
+        if (attr_ == nullptr && locked_master_ != static_cast<int>(i) &&
+            !poll.accepts) {
+          break;
+        }
+        [[fallthrough]];
+      case MasterPort::BlockReason::kEmpty:
+        // Ports announce this time too, but wake_at() absorbs an
+        // announcement made while the crossbar was due earlier.
+        next = std::min(next, p.next_grant_at());
+        break;
+      case MasterPort::BlockReason::kGate:
+        // Gates reopen on events that announce nothing to the crossbar.
+        return true;
+      case MasterPort::BlockReason::kNone:
+        if (poll.accepts) {
+          return true;  // lost arbitration or issue width this cycle
+        }
+        // Slave backpressure: the slave wakes us when space frees. A gate
+        // that shuts meanwhile would release a transaction lock or move
+        // the head's blame to the port itself, so gated ports keep
+        // polling where either matters.
+        if (p.has_gates() &&
+            (attr_ != nullptr || locked_master_ == static_cast<int>(i))) {
+          return true;
+        }
+        break;
     }
+    waiting = waiting || (p.attr_wait().open && p.attr_wait().last <= now);
+  }
+  if (next != sim::kTimeNever) {
+    wake_at(next);
+  }
+  if (attr_ != nullptr && waiting) {
+    // Last edge of the current attribution window, then the first after
+    // it: skipped cycles are charged before another component rolls the
+    // window, and the roll happens on the same edge as per-cycle charging.
+    const sim::TimePs w = attr_->window_ps();
+    const sim::TimePs last = (now + w - 1) / w * w / clock().period_ps() *
+                             clock().period_ps();
+    wake_at(last > now ? last : now + 1);
   }
   return false;
 }

@@ -69,13 +69,15 @@ bool MasterPort::issue(Dir dir, Addr addr, std::uint32_t bytes,
   }
   const bool becomes_head = queue_.empty();
   queue_.push(txn, now);
-  if (attr_ != nullptr && becomes_head) {
-    // Fresh head: its head-of-line wait starts the instant it turns
-    // visible (now + request latency). Charged by the interconnect's
-    // per-cycle attribution pass, closed in commit_grant().
-    attr_->begin_wait(attr_wait_, queue_.head_ready_at());
+  if (becomes_head) {
+    if (attr_ != nullptr) {
+      // Fresh head: its head-of-line wait starts the instant it turns
+      // visible (now + request latency). Charged by the interconnect's
+      // per-cycle attribution pass, closed in commit_grant().
+      attr_->begin_wait(attr_wait_, queue_.head_ready_at());
+    }
+    owner_.notify_work(queue_.head_ready_at());
   }
-  owner_.notify_work(queue_.head_ready_at());
   return true;
 }
 
@@ -88,10 +90,6 @@ std::uint32_t MasterPort::head_line_bytes(const Transaction& txn) const {
   const Addr line_end = line_base + cfg_.line_bytes;
   const Addr burst_end = txn.addr + txn.bytes;
   return static_cast<std::uint32_t>(std::min<Addr>(line_end, burst_end) - cur);
-}
-
-bool MasterPort::has_grantable_line(sim::TimePs now) const {
-  return grant_block_reason(now) == BlockReason::kNone;
 }
 
 MasterPort::BlockReason MasterPort::grant_block_reason(
@@ -109,10 +107,6 @@ MasterPort::BlockReason MasterPort::grant_block_reason(
     }
   }
   return BlockReason::kNone;
-}
-
-bool MasterPort::has_pending_work() const {
-  return !queue_.empty() || in_flight_ != 0;
 }
 
 LineRequest MasterPort::peek_line(sim::TimePs now) const {
@@ -168,6 +162,9 @@ LineRequest MasterPort::commit_grant(sim::TimePs now) {
   const auto occupancy =
       static_cast<sim::TimePs>(static_cast<double>(line.bytes) * ps_per_byte_);
   data_free_at_ = now + occupancy;
+  if (!queue_.empty()) {
+    owner_.notify_work(next_grant_at());
+  }
   stats_.lines_granted.add();
   stats_.bytes_granted.add(line.bytes);
   if (line.is_write) {

@@ -8,6 +8,7 @@
 /// and completion with exact timestamps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,6 +100,8 @@ class MasterPort {
 
   /// Issues a burst. Returns false (and counts a rejection) when the
   /// request queue or the outstanding limit is full. \p bytes must be > 0.
+  /// A burst that becomes the head wakes the crossbar when it turns
+  /// visible; later ones are announced by commit_grant().
   bool issue(Dir dir, Addr addr, std::uint32_t bytes, std::uint64_t user = 0);
 
   /// Sets the callback invoked when any transaction of this port completes.
@@ -116,10 +119,6 @@ class MasterPort {
 
   // --- Interconnect-facing interface -------------------------------------
 
-  /// True when the head line exists, is visible, passes the port rate
-  /// limit and all gates.
-  [[nodiscard]] bool has_grantable_line(sim::TimePs now) const;
-
   /// Why the head line cannot be granted right now.
   enum class BlockReason : std::uint8_t {
     kNone,       ///< grantable
@@ -129,14 +128,23 @@ class MasterPort {
   };
   [[nodiscard]] BlockReason grant_block_reason(sim::TimePs now) const;
 
-  /// True when requests are queued, granted-in-progress, or in flight.
-  [[nodiscard]] bool has_pending_work() const;
+  /// True when any gate is attached.
+  [[nodiscard]] bool has_gates() const { return !gates_.empty(); }
+
+  /// Earliest time the head line may be granted as far as its visibility
+  /// and the port rate limit go (gates aside); kTimeNever when empty.
+  [[nodiscard]] sim::TimePs next_grant_at() const {
+    return queue_.empty() ? sim::kTimeNever
+                          : std::max(queue_.head_ready_at(), data_free_at_);
+  }
 
   /// The line that would be granted next. Pre: head visible.
   [[nodiscard]] LineRequest peek_line(sim::TimePs now) const;
 
   /// Commits the grant of peek_line(): updates gates, observers, stats and
-  /// the port rate limiter, and advances/pops the head transaction.
+  /// the port rate limiter, and advances/pops the head transaction. When a
+  /// head remains, announces to the crossbar the time it may next be
+  /// granted (rate limit and visibility).
   LineRequest commit_grant(sim::TimePs now);
 
   /// Called (via the interconnect) when the last line of \p txn finished

@@ -1,9 +1,10 @@
 /// \file command_queue.hpp
-/// \brief Bounded request queue scanned by the FR-FCFS scheduler.
+/// \brief Bounded request store scanned by the FR-FCFS scheduler.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "axi/transaction.hpp"
 #include "dram/address_mapper.hpp"
@@ -17,39 +18,60 @@ struct QueueEntry {
   axi::LineRequest line;
   Decoded where;
   sim::TimePs visible_at = 0;  ///< front-end pipeline delay
+  sim::Cycles visible_edge = 0;   ///< first controller edge >= visible_at
+  sim::Cycles visible_cycle = 0;  ///< visible_at / period (aging base)
   std::uint64_t seq = 0;       ///< arrival order (FCFS tie-break)
   /// Queueing-delay blame bookkeeping (open only when attribution is on).
   telemetry::WaitState wait;
 };
 
-/// FIFO-ordered bounded queue; the scheduler scans visible entries and
-/// removes an arbitrary one (FR-FCFS is not head-of-line).
+/// Read and write request queues with per-bank FIFO indices. Entries live
+/// in fixed slots; two arrival-ordered views index them: one per direction
+/// (capacity, drain hysteresis, aging) and one per (bank, direction), so
+/// the scheduler reads each bank's oldest candidates without sorting the
+/// whole queue. Removal is arbitrary (FR-FCFS is not head-of-line).
 class RequestQueue {
  public:
-  explicit RequestQueue(std::size_t capacity);
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
 
-  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  RequestQueue(std::size_t read_capacity, std::size_t write_capacity,
+               std::uint32_t banks);
 
-  void push(QueueEntry entry);
-
-  /// Entries in arrival order; index into this deque is stable between
-  /// push/remove calls within one scheduling pass.
-  [[nodiscard]] const std::deque<QueueEntry>& entries() const {
-    return entries_;
+  [[nodiscard]] bool full(bool write) const {
+    return dir_[write].size() >= capacity_[write];
   }
-  /// Mutable view for the attribution pass (updates per-entry WaitStates
-  /// without perturbing order or contents).
-  [[nodiscard]] std::deque<QueueEntry>& mutable_entries() { return entries_; }
+  [[nodiscard]] std::size_t size(bool write) const {
+    return dir_[write].size();
+  }
+  [[nodiscard]] bool empty() const {
+    return dir_[0].empty() && dir_[1].empty();
+  }
 
-  /// Removes the entry at \p index and returns it.
-  QueueEntry remove_at(std::size_t index);
+  /// Stores \p entry. Pre: !full(entry.line.is_write).
+  void push(QueueEntry entry);
+  /// Removes the entry in \p slot and returns it.
+  QueueEntry remove(Slot slot);
+
+  [[nodiscard]] QueueEntry& at(Slot slot) { return slots_[slot]; }
+  [[nodiscard]] const QueueEntry& at(Slot slot) const { return slots_[slot]; }
+
+  /// Slots of one direction, oldest first.
+  [[nodiscard]] const std::vector<Slot>& dir(bool write) const {
+    return dir_[write];
+  }
+  /// Slots of one direction targeting bank \p b, oldest first.
+  [[nodiscard]] const std::vector<Slot>& bank(std::uint32_t b,
+                                              bool write) const {
+    return bank_[2 * std::size_t{b} + write];
+  }
 
  private:
-  std::size_t capacity_;
-  std::deque<QueueEntry> entries_;
+  std::array<std::size_t, 2> capacity_;
+  std::vector<QueueEntry> slots_;
+  std::vector<Slot> free_;
+  std::array<std::vector<Slot>, 2> dir_;
+  std::vector<std::vector<Slot>> bank_;  ///< [2 * bank + write]
 };
 
 }  // namespace fgqos::dram

@@ -7,8 +7,19 @@
 /// bus with direction-turnaround penalties, periodic refresh, FR-FCFS
 /// scheduling with a starvation guard, and write draining with
 /// high/low watermarks.
+///
+/// The controller sleeps at command granularity: after each tick it
+/// computes the earliest cycle at which a command could issue or any
+/// scheduling input changes (entry visibility, bank and channel timing
+/// windows, tFAW, direction turnaround, refresh, both aging thresholds)
+/// and wakes itself there, so it never ticks on a cycle where nothing can
+/// change. accept() wakes it at the new line's visibility, or on the next
+/// edge when the line flips the drain/serve decision; a refresh-divisor
+/// change wakes it at the new refresh deadline. Every decision is the one
+/// a controller ticking on every cycle would make on the same cycle.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -103,10 +114,9 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   [[nodiscard]] double bus_utilization(sim::TimePs elapsed_ps) const;
 
   /// Current queue occupancies (diagnostics).
-  [[nodiscard]] std::size_t read_queue_size() const { return read_q_.size(); }
-  [[nodiscard]] std::size_t write_queue_size() const {
-    return write_q_.size();
-  }
+  [[nodiscard]] std::size_t read_queue_size() const { return q_.size(false); }
+  [[nodiscard]] std::size_t write_queue_size() const { return q_.size(true); }
+  /// Write-drain mode as of the last scheduling decision.
   [[nodiscard]] bool draining_writes() const { return draining_writes_; }
 
   /// Attaches the Chrome-trace sink (nullptr detaches). Each CAS data
@@ -118,13 +128,18 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   /// default). When enabled, every controller cycle classifies why each
   /// visible queued line could not issue its CAS (bank conflict, bus
   /// turnaround / write-drain batching, refresh, scheduling) and charges
-  /// the slice to the master occupying that resource.
+  /// the slice to the master occupying that resource. Cycles skipped while
+  /// asleep are charged in one slice on wake-up (nothing the
+  /// classification reads changed on them); the controller also wakes on
+  /// the last edge of each attribution window and the first after it, so
+  /// every slice lands in the window per-cycle charging would have used.
   void set_attribution(telemetry::AttributionEngine* engine);
 
   /// Fault seam: divides tREFI by \p divisor (>= 1), modelling a refresh
   /// storm (e.g. high-temperature 2x/4x refresh or a misbehaving
   /// controller). 1 restores the nominal schedule. Takes effect at the
-  /// next refresh decision; an overdue refresh fires immediately.
+  /// next refresh decision; an overdue refresh fires immediately. Wakes
+  /// the controller at the new deadline when requests are queued.
   void set_refresh_interval_divisor(std::uint32_t divisor);
   [[nodiscard]] std::uint32_t refresh_interval_divisor() const {
     return refresh_divisor_;
@@ -141,34 +156,66 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
  private:
   using Cycle = Bank::Cycle;
 
+  using Slot = RequestQueue::Slot;
+  static constexpr Slot kNoSlot = RequestQueue::kNoSlot;
+  static constexpr Cycle kNever = ~Cycle{0};
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
+  /// Cached view of one (bank, direction) FIFO of q_: its oldest entry and
+  /// its oldest entry hitting the bank's open row, with their sequence
+  /// numbers and first visible edges (kNoSlot / kNoSeq / kNever when
+  /// absent). Lines turn visible in arrival order, so a head or hit that
+  /// is not visible yet stands for every entry behind it.
+  struct Lane {
+    Slot head = kNoSlot;
+    Slot hit = kNoSlot;
+    std::uint64_t head_seq = kNoSeq;
+    std::uint64_t hit_seq = kNoSeq;
+    Cycle head_vis = kNever;
+    Cycle hit_vis = kNever;
+  };
+
+  /// One FR-FCFS pass over the banks at cycle c, assuming nothing else
+  /// changes: the first cycle a CAS (a PRE/ACT) becomes legal and the
+  /// entry that would take it then. A command issues on c when it is
+  /// legal on c, a CAS before a PRE/ACT.
+  struct Scan {
+    Cycle cas_at = kNever;
+    Slot cas = kNoSlot;
+    Cycle prep_at = kNever;
+    Slot prep = kNoSlot;    ///< entry whose bank takes the PRE/ACT
+    Slot oldest = kNoSlot;  ///< oldest visible entry of a served direction
+    bool starving = false;  ///< ... and it has waited too long
+  };
+
   void do_refresh(Cycle c);
-  [[nodiscard]] bool act_allowed(Cycle c, std::uint32_t group) const;
   void note_act(Cycle c, std::uint32_t group);
   /// Earliest CAS issue cycle for direction \p write given bus state.
   [[nodiscard]] Cycle dir_cas_ready(bool write) const;
-  /// True when a CAS for \p e could be issued at cycle \p c.
-  [[nodiscard]] bool cas_issuable(const QueueEntry& e, Cycle c,
-                                  sim::TimePs now) const;
+  /// Drain mode the hysteresis yields for the current write occupancy.
+  [[nodiscard]] bool next_drain(bool draining) const;
+  /// Which directions the scan serves at cycle \p c.
+  void serve_dirs(bool draining, Cycle c, bool& reads, bool& writes) const;
+  /// Rebuilds bank \p b's lanes (after its row or its queues changed).
+  void refresh_lanes(std::uint32_t b);
+  /// The FR-FCFS pass at cycle \p c for the given served directions.
+  [[nodiscard]] Scan scan(Cycle c, bool serve_reads, bool serve_writes) const;
   /// Issues the CAS: updates bank/bus state, schedules completion.
   /// \param auto_precharge close the row right after (closed-page policy).
   void issue_cas(QueueEntry entry, Cycle c, bool auto_precharge);
-  /// Tries to issue PRE/ACT for the oldest entries (one command max).
-  /// \param hit_pending per-bank flag: a visible entry targets the open row
-  /// \param starving_bank bank whose oldest entry is starving (-1 = none);
-  ///        row-hit protection is suspended for that bank.
-  bool try_prep(const std::vector<const QueueEntry*>& order,
-                const std::vector<bool>& hit_pending, int starving_bank,
-                Cycle c);
-  /// Collects pointers to visible entries of the queues to scan, oldest
-  /// first.
-  void scan_order(std::vector<const QueueEntry*>& out, bool include_reads,
-                  bool include_writes, sim::TimePs now) const;
-  /// One scheduling cycle (refresh / CAS / prep); the original tick body.
-  /// Reports the scan-direction decision through \p serve_reads /
-  /// \p serve_writes so the attribution pass can classify drain exclusion.
+  /// Issues the PRE or ACT the queued entry \p first needs.
+  void issue_prep(Slot first, Cycle c);
+  /// One scheduling cycle (refresh / CAS / prep); true when it issued a
+  /// refresh or a CAS. Reports the scan-direction decision through
+  /// \p serve_reads / \p serve_writes so the attribution pass can classify
+  /// drain exclusion.
   bool schedule(Cycle c, sim::TimePs now, bool& serve_reads,
                 bool& serve_writes);
-  /// Per-cycle blame pass over every visible waiting queue entry.
+  /// Computes the next cycle from \p n on that needs a tick; returns true
+  /// when that is \p n itself, otherwise wakes the controller there.
+  /// Pre: requests are queued.
+  bool plan(Cycle n);
+  /// Blame pass over every visible waiting queue entry, as of cycle \p c.
   void attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
                         bool serve_writes);
 
@@ -177,10 +224,26 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   axi::ResponseSink* sink_;
   std::uint32_t prof_tag_done_ = 0;  ///< host-profiler tag, dram.line_done
   std::vector<Bank> banks_;
-  RequestQueue read_q_;
-  RequestQueue write_q_;
+  RequestQueue q_;
   std::uint64_t arrival_seq_ = 0;
   bool draining_writes_ = false;
+  std::vector<Lane> lanes_;  ///< [2 * bank + write]
+  /// Visible edges of queued lines not yet seen visible, arrival order.
+  std::deque<Cycle> arrivals_;
+
+  // Sleep bookkeeping. awake_ mirrors a controller ticking on every cycle:
+  // it keeps ticking while requests are queued, and for one more edge
+  // after a CAS or refresh.
+  Cycle last_tick_ = 0;
+  bool awake_ = false;
+  /// Serve decision holding from the edge after the last tick until the
+  /// next one (charged to skipped cycles; compared by accept()).
+  std::array<bool, 2> held_serve_{true, true};
+  /// The plan's scan, valid for the tick on planned_ (kNever: none) while
+  /// that tick still serves held_serve_ and every line accepted since is
+  /// still invisible then.
+  Cycle planned_ = kNever;
+  Scan plan_scan_;
 
   // Global channel state (absolute controller cycles).
   Cycle next_act_any_ = 0;                 ///< tRRD_S

@@ -21,9 +21,13 @@ DdrcThrottle::DdrcThrottle(sim::Simulator& sim, DdrcThrottleConfig cfg,
 }
 
 void DdrcThrottle::on_window() {
+  const bool was_dry = !read_bucket_.can_spend() || !write_bucket_.can_spend();
   read_bucket_.replenish();
   write_bucket_.replenish();
   sim_.schedule_recurring(window_event_, sim_.now() + cfg_.window_ps);
+  if (was_dry) {
+    notify_space(sim_.now());
+  }
 }
 
 void DdrcThrottle::set_rates(double read_bps, double write_bps) {
@@ -31,6 +35,12 @@ void DdrcThrottle::set_rates(double read_bps, double write_bps) {
   cfg_.write_bps = write_bps;
   read_bucket_.set_budget(budget_for_rate(read_bps, cfg_.window_ps));
   write_bucket_.set_budget(budget_for_rate(write_bps, cfg_.window_ps));
+  notify_space(sim_.now());
+}
+
+void DdrcThrottle::set_space_waker(sim::Clocked* upstream) {
+  SlaveIf::set_space_waker(upstream);
+  inner_->set_space_waker(upstream);
 }
 
 bool DdrcThrottle::can_accept(const axi::LineRequest& line,

@@ -53,6 +53,9 @@ class DdrcThrottle final : public axi::SlaveIf {
   [[nodiscard]] bool can_accept(const axi::LineRequest& line,
                                 sim::TimePs now) const override;
   void accept(axi::LineRequest line, sim::TimePs now) override;
+  /// Registers \p upstream here (woken when a bucket refills or the rates
+  /// change) and with the wrapped slave.
+  void set_space_waker(sim::Clocked* upstream) override;
 
  private:
   void on_window();

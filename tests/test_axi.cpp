@@ -143,7 +143,8 @@ TEST(WeightedRRArbiter, RejectsZeroWeight) {
 // Interconnect against a scripted slave
 // --------------------------------------------------------------------------
 
-/// Slave that services every line after a fixed delay.
+/// Slave that services every line after a fixed delay; a finished line
+/// frees its slot and wakes the crossbar.
 class FixedLatencySlave final : public SlaveIf {
  public:
   FixedLatencySlave(sim::Simulator& sim, ResponseSink& sink,
@@ -160,7 +161,9 @@ class FixedLatencySlave final : public SlaveIf {
     ++accepted;
     ++in_flight_;
     sim_.schedule_at(now + latency_, [this, line]() {
-      --in_flight_;
+      if (in_flight_-- == capacity_) {
+        notify_space(sim_.now());
+      }
       sink_->line_done(line, sim_.now());
     });
   }
@@ -335,6 +338,84 @@ TEST(Interconnect, PortBandwidthLimitsThroughput) {
       port.stats().bytes_granted.value(), horizon);
   EXPECT_LT(bps, 1.1e9);
   EXPECT_GT(bps, 0.8e9);
+}
+
+// --------------------------------------------------------------------------
+// Crossbar sleep/wake: the crossbar sleeps while no head is grantable and
+// wakes on exactly the edge a crossbar ticking every cycle would grant on.
+// --------------------------------------------------------------------------
+
+TEST(InterconnectWake, SuccessorHeadIsGrantedOnItsReadyEdge) {
+  XbarFixture f;  // 1 GHz: edge N at N ns
+  MasterPortConfig pc;
+  pc.request_latency_ps = 1000;
+  pc.port_bandwidth_bps = 1e12;  // 64 ps per line: never the bottleneck
+  MasterPort& port = f.xbar.add_master(pc);
+  FixedLatencySlave slave(f.sim, f.xbar, 5000, 64);
+  f.xbar.set_slave(slave);
+  std::vector<Transaction> done;
+  port.set_completion_handler(
+      [&](const Transaction& t) { done.push_back(t); });
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x0, 64));  // visible at 1000
+  f.sim.run_for(500);
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x40, 64));  // visible at 1500
+  f.sim.run_for(100'000);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].granted, 1000u);
+  // The second burst turns head when the first is granted but is still
+  // invisible then; its grant lands on the first edge after 1500.
+  EXPECT_EQ(done[1].granted, 2000u);
+  // Ticks at 0 (registration), 1000 and 2000 only: in-flight lines and
+  // the invisible successor keep nothing awake.
+  EXPECT_EQ(f.xbar.ticks_fired(), 3u);
+}
+
+TEST(InterconnectWake, IssueBehindABlockedHeadDoesNotTickTheCrossbar) {
+  XbarFixture f;
+  MasterPortConfig pc;
+  pc.request_latency_ps = 1000;
+  pc.port_bandwidth_bps = 1e12;
+  MasterPort& port = f.xbar.add_master(pc);
+  FixedLatencySlave slave(f.sim, f.xbar, 50'000, 1);  // one line at a time
+  f.xbar.set_slave(slave);
+  std::vector<Transaction> done;
+  port.set_completion_handler(
+      [&](const Transaction& t) { done.push_back(t); });
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x0, 64));
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x40, 64));
+  f.sim.run_for(10'000);  // first line in the slave, second head blocked
+  const std::uint64_t ticks = f.xbar.ticks_fired();
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x80, 64));
+  f.sim.run_for(10'000);
+  // The new burst queues behind the blocked head: nothing for the
+  // crossbar to do until the slave frees its slot.
+  EXPECT_EQ(f.xbar.ticks_fired(), ticks);
+  f.sim.run_for(200'000);
+  ASSERT_EQ(done.size(), 3u);
+  // Slot freed at 51000 (inside an event, before that edge's tick): the
+  // blocked head goes on that very edge, the next one 50 us later.
+  EXPECT_EQ(done[1].granted, 51'000u);
+  EXPECT_EQ(done[2].granted, 101'000u);
+}
+
+TEST(InterconnectWake, RateLimitedHeadIsGrantedWhenThePortFrees) {
+  XbarFixture f;
+  MasterPortConfig pc;
+  pc.request_latency_ps = 1000;
+  pc.port_bandwidth_bps = 6.4e9;  // 64 B line = 10 ns of port time
+  MasterPort& port = f.xbar.add_master(pc);
+  FixedLatencySlave slave(f.sim, f.xbar, 1000, 64);
+  f.xbar.set_slave(slave);
+  std::vector<Transaction> done;
+  port.set_completion_handler(
+      [&](const Transaction& t) { done.push_back(t); });
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x0, 64));
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x40, 64));
+  f.sim.run_for(100'000);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].granted, 1000u);
+  EXPECT_EQ(done[1].granted, 11'000u);
+  EXPECT_EQ(f.xbar.ticks_fired(), 3u);
 }
 
 }  // namespace
