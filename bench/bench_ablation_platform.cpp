@@ -24,12 +24,11 @@ struct Meas {
   double aggr_gbps;
 };
 
-Meas run(std::function<void(soc::SocConfig&)> tweak) {
-  ScenarioParams p;
-  p.scheme = Scheme::kUnregulated;
-  p.aggressor_count = 2;
-  p.critical_iterations = 16;
-  p.tweak_config = std::move(tweak);
+Meas run(const soc::SocConfig& platform) {
+  Spec p;
+  p.platform = platform;
+  p.aggressors = 2;
+  p.core.max_iterations = 16;
   Scenario s = build_scenario(p);
   run_critical(s, 1000 * sim::kPsPerMs);
   const auto& h = s.critical->stats().iteration_ps;
@@ -50,10 +49,10 @@ int main() {
          {dram::PagePolicy::kOpen, dram::PagePolicy::kClosed}) {
       for (const auto mapping : {dram::MappingPolicy::kBankInterleaved,
                                  dram::MappingPolicy::kRowBankColumn}) {
-        const Meas m = run([&](soc::SocConfig& cfg) {
-          cfg.dram.page_policy = policy;
-          cfg.dram.mapping = mapping;
-        });
+        soc::SocConfig cfg;
+        cfg.dram.page_policy = policy;
+        cfg.dram.mapping = mapping;
+        const Meas m = run(cfg);
         t.add_row({policy == dram::PagePolicy::kOpen ? "open" : "closed",
                    mapping == dram::MappingPolicy::kBankInterleaved
                        ? "interleaved"
@@ -75,21 +74,13 @@ int main() {
     for (const auto gran :
          {axi::ArbGranularity::kLine, axi::ArbGranularity::kTransaction}) {
       for (const std::uint32_t burst : {256u, 1024u, 4096u}) {
-        ScenarioParams p;
-        p.scheme = Scheme::kSolo;  // aggressors added manually with burst
-        p.critical_iterations = 16;
-        p.tweak_config = [&](soc::SocConfig& cfg) {
-          cfg.xbar.granularity = gran;
-        };
+        Spec p;
+        p.platform.xbar.granularity = gran;
+        p.aggressors = 2;
+        p.aggressor.burst_bytes = burst;
+        p.seed = 30;
+        p.core.max_iterations = 16;
         Scenario s = build_scenario(p);
-        for (std::size_t i = 0; i < 2; ++i) {
-          wl::TrafficGenConfig tg;
-          tg.name = "agg" + std::to_string(i);
-          tg.burst_bytes = burst;
-          tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-          tg.seed = 30 + i;
-          s.aggressors.push_back(&s.chip->add_traffic_gen(i, tg));
-        }
         run_critical(s, 1000 * sim::kPsPerMs);
         const auto& h = s.critical->stats().iteration_ps;
         t.add_row(
@@ -117,20 +108,18 @@ int main() {
     for (const Cfg c : {Cfg{qos::ReplenishKind::kFixedWindow, 1, "fixed"},
                         Cfg{qos::ReplenishKind::kTokenBucket, 1, "bucket"},
                         Cfg{qos::ReplenishKind::kTokenBucket, 4, "bucket"}}) {
-      ScenarioParams p;
-      p.scheme = Scheme::kHwQos;
-      p.aggressor_count = 2;
-      p.critical_iterations = 16;
-      p.per_aggressor_budget_bps = 800e6;
-      p.hw_window_ps = 10 * sim::kPsPerUs;
+      Spec p;
+      p.scheme = Scheme::kHw;
+      p.aggressors = 2;
+      p.core.max_iterations = 16;
+      p.budget_bps = 800e6;
+      p.window_ps = 10 * sim::kPsPerUs;
       // Phased aggressors (50 us on / 50 us off): idle phases let a
       // token bucket accumulate credit that is then spent as a burst.
-      p.aggressor_active_ps = 50 * sim::kPsPerUs;
-      p.aggressor_idle_ps = 50 * sim::kPsPerUs;
-      p.tweak_config = [&](soc::SocConfig& cfg) {
-        cfg.default_regulator.kind = c.kind;
-        cfg.default_regulator.max_accumulation_windows = c.windows;
-      };
+      p.aggressor.active_ps = 50 * sim::kPsPerUs;
+      p.aggressor.idle_ps = 50 * sim::kPsPerUs;
+      p.platform.default_regulator.kind = c.kind;
+      p.platform.default_regulator.max_accumulation_windows = c.windows;
       Scenario s = build_scenario(p);
       run_critical(s, 1000 * sim::kPsPerMs);
       const auto& h = s.critical->stats().iteration_ps;

@@ -35,11 +35,11 @@ double g_solo_mean = 0;
 double g_solo_p99 = 0;
 
 Row run_one(const char* label, bool priority_fabric, bool regulate) {
-  ScenarioParams p;
-  p.scheme = regulate ? Scheme::kHwQos : Scheme::kUnregulated;
-  p.aggressor_count = 4;
-  p.critical_iterations = 40;
-  p.per_aggressor_budget_bps = 400e6;
+  Spec p;
+  p.scheme = regulate ? Scheme::kHw : Scheme::kNone;
+  p.aggressors = 4;
+  p.core.max_iterations = 40;
+  p.budget_bps = 400e6;
   Scenario s = build_scenario(p);
   if (priority_fabric) {
     // CPU (master 0) gets the highest level, accelerators the lowest.
@@ -62,9 +62,9 @@ int main() {
       "EXP10 (ablation): fabric priority vs. edge regulation, 4 "
       "saturating aggressors\n\n");
   {
-    ScenarioParams p;
-    p.scheme = Scheme::kSolo;
-    p.critical_iterations = 40;
+    Spec p;
+    p.aggressors = 0;
+    p.core.max_iterations = 40;
     Scenario s = build_scenario(p);
     g_solo_mean = run_critical(s, 400 * sim::kPsPerMs);
     g_solo_p99 =

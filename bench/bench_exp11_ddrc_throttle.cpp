@@ -32,28 +32,25 @@ struct Row {
 };
 
 Row run_one(const char* label, bool ddrc, bool per_port) {
-  ScenarioParams p;
-  p.scheme = Scheme::kUnregulated;
-  p.aggressor_count = 0;  // added manually below
-  p.critical_iterations = 40;
-  Scenario s = build_scenario(p);
-  soc::Soc& chip = *s.chip;
-
+  Spec p;
+  p.core.max_iterations = 40;
   // Victim on port 0: paced to its 1.5 GB/s entitlement.
-  wl::TrafficGenConfig victim;
+  wl::TrafficGenConfig& victim = p.generators.emplace_back();
   victim.name = "victim";
   victim.target_bps = 1.5e9;
   victim.seed = 1;
-  wl::TrafficGen& v = chip.add_traffic_gen(0, victim);
   // Three saturating aggressors on ports 1..3.
-  std::vector<wl::TrafficGen*> aggs;
   for (std::size_t i = 1; i < 4; ++i) {
-    wl::TrafficGenConfig tg;
+    wl::TrafficGenConfig& tg = p.generators.emplace_back();
     tg.name = "agg" + std::to_string(i);
     tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
     tg.seed = 10 + i;
-    aggs.push_back(&chip.add_traffic_gen(i, tg));
   }
+  Scenario s = build_scenario(p);
+  soc::Soc& chip = *s.chip;
+  wl::TrafficGen& v = *s.aggressors[0];
+  const std::vector<wl::TrafficGen*> aggs(s.aggressors.begin() + 1,
+                                          s.aggressors.end());
 
   const double total_allow = 1.5e9 + 3 * 0.8e9;
   if (ddrc) {

@@ -75,20 +75,21 @@ struct Row {
 enum class Policy { kStaticTight, kStaticLoose, kAdaptive };
 
 Row run(Policy policy) {
-  soc::SocConfig cfg;
-  soc::Soc chip(cfg);
-
-  // Critical: alternating heavy/light phases.
-  wl::PointerChaseConfig heavy;
-  heavy.accesses_per_iteration = 2048;
-  wl::ComputeBoundConfig light;
-  light.accesses_per_iteration = 2048;
-  light.compute_cycles_per_access = 48;
-  cpu::CoreConfig cc;
-  cc.name = "critical";
-  chip.add_core(cc, std::make_unique<AlternatingKernel>(
-                        wl::make_pointer_chase(heavy),
-                        wl::make_compute_bound(light), 8));
+  // Critical: alternating heavy/light phases, against 3 aggressors.
+  Spec p;
+  p.kernel = [] {
+    wl::PointerChaseConfig heavy;
+    heavy.accesses_per_iteration = 2048;
+    wl::ComputeBoundConfig light;
+    light.accesses_per_iteration = 2048;
+    light.compute_cycles_per_access = 48;
+    return std::make_unique<AlternatingKernel>(
+        wl::make_pointer_chase(heavy), wl::make_compute_bound(light), 8);
+  };
+  p.aggressors = 3;
+  p.seed = 60;
+  Scenario s = build_scenario(p);
+  soc::Soc& chip = *s.chip;
 
   qos::LatencyMonitorConfig lc;
   lc.window_ps = 100 * sim::kPsPerUs;
@@ -97,11 +98,6 @@ Row run(Policy policy) {
 
   std::vector<qos::Regulator*> regs;
   for (std::size_t i = 0; i < 3; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = "agg" + std::to_string(i);
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 60 + i;
-    chip.add_traffic_gen(i, tg);
     regs.push_back(chip.qos_block(1 + i).regulator.get());
   }
 

@@ -27,23 +27,13 @@ struct Row {
 
 Row run_one(const std::string& workload, wl::Pattern pattern,
             std::size_t gens) {
-  ScenarioParams p;
-  p.scheme = gens == 0 ? Scheme::kSolo : Scheme::kUnregulated;
-  p.aggressor_count = gens;
-  p.aggressor_pattern = pattern;
-  p.critical_iterations = 8;
-  if (workload == "latency") {
-    p.critical_kernel = [] {
-      wl::PointerChaseConfig pc;
-      pc.accesses_per_iteration = 1024;
-      return wl::make_pointer_chase(pc);
-    };
-  } else {
-    p.critical_kernel = [] {
-      wl::StreamConfig sc;
-      sc.lines_per_iteration = 16384;
-      return wl::make_stream(sc);
-    };
+  Spec p;
+  p.aggressors = gens;
+  p.aggressor.pattern = pattern;
+  p.core.max_iterations = 8;
+  if (workload != "latency") {
+    p.critical = scenario::Critical::kStream;
+    p.stream.lines_per_iteration = 16384;
   }
   Scenario s = build_scenario(p);
   const double mean = run_critical(s, 400 * sim::kPsPerMs);

@@ -18,11 +18,11 @@ using namespace fgqos::bench;
 namespace {
 
 double measure(Scheme scheme, double target_bps) {
-  ScenarioParams p;
+  Spec p;
   p.scheme = scheme;
-  p.aggressor_count = 1;
-  p.critical_iterations = 0;  // no CPU task: isolate the regulator
-  p.per_aggressor_budget_bps = target_bps;
+  p.aggressors = 1;
+  p.critical = scenario::Critical::kNone;  // isolate the regulator
+  p.budget_bps = target_bps;
   Scenario s = build_scenario(p);
   s.chip->run_for(20 * sim::kPsPerMs);
   return sim::bytes_per_second(
@@ -40,8 +40,8 @@ int main() {
   const std::vector<double> targets = {50e6,  100e6, 200e6, 400e6,
                                        800e6, 1.6e9, 3.2e9};
   for (const double t : targets) {
-    const double hw = measure(Scheme::kHwQos, t);
-    const double sw = measure(Scheme::kSoftMemguard, t);
+    const double hw = measure(Scheme::kHw, t);
+    const double sw = measure(Scheme::kSw, t);
     table.add_row({util::format_bandwidth(t), util::format_bandwidth(hw),
                    util::format_fixed((hw - t) / t * 100.0, 2),
                    util::format_bandwidth(sw),

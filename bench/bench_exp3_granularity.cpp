@@ -28,16 +28,16 @@ struct WindowRow {
 };
 
 WindowRow run_window(sim::TimePs w) {
-  ScenarioParams p;
-  p.scheme = Scheme::kHwQos;
-  p.aggressor_count = 3;
+  Spec p;
+  p.scheme = Scheme::kHw;
+  p.aggressors = 3;
   // The run must span many regulation windows for the average to be
   // meaningful; one pointer-chase iteration is ~140 us.
   const std::uint64_t needed = (30 * w) / (140 * sim::kPsPerUs) + 1;
-  p.critical_iterations =
+  p.core.max_iterations =
       std::max<std::uint64_t>(8, std::min<std::uint64_t>(needed, 2200));
-  p.per_aggressor_budget_bps = 800e6;
-  p.hw_window_ps = w;
+  p.budget_bps = 800e6;
+  p.window_ps = w;
   Scenario s = build_scenario(p);
   // Fixed-resolution burst measurement on aggressor port 0.
   sim::WindowedBytes burst(10 * sim::kPsPerUs);
@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
   // Solo reference.
   double solo_mean = 0;
   {
-    ScenarioParams p;
-    p.scheme = Scheme::kSolo;
-    p.critical_iterations = 8;
+    Spec p;
+    p.aggressors = 0;
+    p.core.max_iterations = 8;
     Scenario s = build_scenario(p);
     solo_mean = run_critical(s, 400 * sim::kPsPerMs);
   }

@@ -22,18 +22,18 @@ struct Dist {
   double aggressor_gbps = 0;
 };
 
-Dist run_one(Scheme scheme) {
-  ScenarioParams p;
+Dist run_one(const char* label, Scheme scheme, std::size_t aggressors) {
+  Spec p;
   p.scheme = scheme;
-  p.aggressor_count = 4;
+  p.aggressors = aggressors;
   // >= 10 SW-MemGuard periods of run time, so the distribution reflects
   // steady-state regulation rather than first-period transients.
-  p.critical_iterations = 80;
-  p.per_aggressor_budget_bps = 400e6;
+  p.core.max_iterations = 80;
+  p.budget_bps = 400e6;
   Scenario s = build_scenario(p);
   run_critical(s, 2000 * sim::kPsPerMs);
   Dist d;
-  d.scheme = scheme_name(scheme);
+  d.scheme = label;
   d.latency = s.chip->cpu_port().stats().read_latency;
   d.aggressor_gbps = s.aggressor_bps() / 1e9;
   return d;
@@ -44,13 +44,13 @@ Dist run_one(Scheme scheme) {
 int main() {
   std::printf(
       "EXP4 (Fig.3): critical CPU read-latency distribution, 4 aggressors\n\n");
-  const std::vector<Scheme> schemes = {Scheme::kSolo, Scheme::kUnregulated,
-                                       Scheme::kSoftMemguard, Scheme::kHwQos};
   util::Table table({"scheme", "p50", "p90", "p99", "p99.9", "max", "mean",
                      "aggr_GB/s"});
   util::Table cdf_csv({"scheme", "latency_ps", "cumulative"});
-  for (const Scheme s : schemes) {
-    Dist d = run_one(s);
+  for (const Dist& d : {run_one("solo", Scheme::kNone, 0),
+                        run_one("unregulated", Scheme::kNone, 4),
+                        run_one("memguard_sw", Scheme::kSw, 4),
+                        run_one("hw_qos", Scheme::kHw, 4)}) {
     table.add_row({d.scheme, util::format_time_ps(d.latency.p50()),
                    util::format_time_ps(d.latency.p90()),
                    util::format_time_ps(d.latency.p99()),

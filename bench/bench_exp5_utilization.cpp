@@ -30,17 +30,25 @@ struct Point {
 double g_solo_mean = 0;
 double g_solo_p99 = 0;
 
-Point run_point(ScenarioParams p, std::string knob) {
+/// One point of the frontier: a scheme (its table label) at one knob.
+struct PointSpec {
+  Spec spec;
+  std::string scheme;
+  std::string knob;
+};
+
+Point run_point(const PointSpec& ps) {
+  Spec p = ps.spec;
   // Long enough to span many SW-MemGuard periods (>= 10 ms of run time),
   // so per-period boundary effects do not distort the bandwidth averages.
-  p.critical_iterations = 80;
-  p.aggressor_count = 4;
+  p.core.max_iterations = 80;
+  p.aggressors = 4;
   Scenario s = build_scenario(p);
   const double mean = run_critical(s, 2000 * sim::kPsPerMs);
   const double p99 =
       static_cast<double>(s.critical->stats().iteration_ps.p99());
-  return Point{scheme_name(p.scheme), std::move(knob), mean / g_solo_mean,
-               p99 / g_solo_p99, s.aggressor_bps() / 1e9};
+  return Point{ps.scheme, ps.knob, mean / g_solo_mean, p99 / g_solo_p99,
+               s.aggressor_bps() / 1e9};
 }
 
 }  // namespace
@@ -50,9 +58,9 @@ int main(int argc, char** argv) {
       "EXP5 (Fig.4): critical-task slowdown vs. best-effort bandwidth "
       "(guarantee: p99 slowdown <= 1.15x)\n\n");
   {
-    ScenarioParams p;
-    p.scheme = Scheme::kSolo;
-    p.critical_iterations = 80;
+    Spec p;
+    p.aggressors = 0;
+    p.core.max_iterations = 80;
     Scenario s = build_scenario(p);
     g_solo_mean = run_critical(s, 400 * sim::kPsPerMs);
     g_solo_p99 =
@@ -64,50 +72,38 @@ int main(int argc, char** argv) {
 
   // Every point is an independent scenario; declare them all, then fan
   // out. The solo baseline above ran first because run_point reads it.
-  std::vector<std::pair<ScenarioParams, std::string>> specs;
-  {
-    ScenarioParams p;
-    p.scheme = Scheme::kUnregulated;
-    specs.emplace_back(p, "-");
-  }
+  std::vector<PointSpec> specs;
+  const auto add = [&specs](Scheme scheme, std::string label,
+                            std::string knob) -> Spec& {
+    specs.push_back({Spec{}, std::move(label), std::move(knob)});
+    specs.back().spec.scheme = scheme;
+    return specs.back().spec;
+  };
+  add(Scheme::kNone, "unregulated", "-");
   // Strict PREM: accelerators fully blocked while the critical task runs.
-  {
-    ScenarioParams p;
-    p.scheme = Scheme::kPremStrict;
-    specs.emplace_back(p, "-");
-  }
+  add(Scheme::kPremStrict, "prem_strict", "-");
   // PREM: 50/50 TDMA frame.
-  {
-    ScenarioParams p;
-    p.scheme = Scheme::kPrem;
-    specs.emplace_back(p, "slot 10us");
-  }
+  add(Scheme::kPrem, "prem_tdma", "slot 10us");
   // PREM + CMRI: injection budget sweep.
   for (const std::uint64_t inj : {1024u, 4096u, 16384u, 65536u}) {
-    ScenarioParams p;
-    p.scheme = Scheme::kPremCmri;
-    p.cmri_injection_bytes = inj;
-    specs.emplace_back(p, util::format_bytes(inj) + "/slot");
+    add(Scheme::kPremCmri, "prem_cmri", util::format_bytes(inj) + "/slot")
+        .cmri_injection_bytes = inj;
   }
   // Software MemGuard: per-master budget sweep.
   for (const double b : {200e6, 400e6, 800e6}) {
-    ScenarioParams p;
-    p.scheme = Scheme::kSoftMemguard;
-    p.per_aggressor_budget_bps = b;
-    specs.emplace_back(p, util::format_bandwidth(b) + "/master");
+    add(Scheme::kSw, "memguard_sw", util::format_bandwidth(b) + "/master")
+        .budget_bps = b;
   }
   // Tightly-coupled HW regulators: per-master budget sweep.
   for (const double b : {200e6, 400e6, 800e6, 1200e6, 1600e6}) {
-    ScenarioParams p;
-    p.scheme = Scheme::kHwQos;
-    p.per_aggressor_budget_bps = b;
-    specs.emplace_back(p, util::format_bandwidth(b) + "/master");
+    add(Scheme::kHw, "hw_qos", util::format_bandwidth(b) + "/master")
+        .budget_bps = b;
   }
 
   exec::ScenarioRunner runner(bench_exec_config(argc, argv));
   const std::vector<Point> points =
       runner.map(specs.size(), [&](const exec::JobContext& ctx) {
-        return run_point(specs[ctx.index].first, specs[ctx.index].second);
+        return run_point(specs[ctx.index]);
       });
   const double unreg_be = points[0].be_gbps;
 

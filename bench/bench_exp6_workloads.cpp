@@ -24,13 +24,14 @@ struct Meas {
   double p99_ps;
 };
 
-Meas run_one(const wl::SuiteEntry& entry, Scheme scheme) {
-  ScenarioParams p;
+Meas run_one(const wl::SuiteEntry& entry, Scheme scheme,
+             std::size_t aggressors = 4) {
+  Spec p;
   p.scheme = scheme;
-  p.aggressor_count = 4;
-  p.critical_iterations = entry.iterations;
-  p.per_aggressor_budget_bps = 400e6;
-  p.critical_kernel = entry.make;
+  p.aggressors = aggressors;
+  p.core.max_iterations = entry.iterations;
+  p.budget_bps = 400e6;
+  p.kernel = entry.make;
   Scenario s = build_scenario(p);
   run_critical(s, 2000 * sim::kPsPerMs);
   const auto& h = s.critical->stats().iteration_ps;
@@ -46,10 +47,10 @@ int main() {
   util::Table table({"workload", "solo_mean", "interf", "memguard_sw",
                      "hw_qos", "interf_p99_x", "sw_p99_x", "hw_p99_x"});
   for (const auto& entry : wl::benchmark_suite()) {
-    const Meas solo = run_one(entry, Scheme::kSolo);
-    const Meas unreg = run_one(entry, Scheme::kUnregulated);
-    const Meas sw = run_one(entry, Scheme::kSoftMemguard);
-    const Meas hw = run_one(entry, Scheme::kHwQos);
+    const Meas solo = run_one(entry, Scheme::kNone, 0);
+    const Meas unreg = run_one(entry, Scheme::kNone);
+    const Meas sw = run_one(entry, Scheme::kSw);
+    const Meas hw = run_one(entry, Scheme::kHw);
     table.add_row(
         {entry.name,
          util::format_time_ps(static_cast<sim::TimePs>(solo.mean_ps)),

@@ -28,13 +28,13 @@ struct SwResult {
 };
 
 SwResult run_sw(sim::TimePs period, sim::TimePs isr, double budget_bps) {
-  ScenarioParams p;
-  p.scheme = Scheme::kSoftMemguard;
-  p.aggressor_count = 1;
-  p.critical_iterations = 0;
-  p.per_aggressor_budget_bps = budget_bps;
-  p.sw_period_ps = period;
-  p.sw_isr_latency_ps = isr;
+  Spec p;
+  p.scheme = Scheme::kSw;
+  p.aggressors = 1;
+  p.critical = scenario::Critical::kNone;
+  p.budget_bps = budget_bps;
+  p.memguard.period_ps = period;
+  p.memguard.isr_latency_ps = isr;
   Scenario s = build_scenario(p);
   const sim::TimePs horizon = 50 * sim::kPsPerMs;
   s.chip->run_for(horizon);
@@ -63,12 +63,12 @@ int main() {
   // is bounded by one line).
   for (const sim::TimePs w :
        {sim::kPsPerUs, 10 * sim::kPsPerUs, 100 * sim::kPsPerUs}) {
-    ScenarioParams p;
-    p.scheme = Scheme::kHwQos;
-    p.aggressor_count = 1;
-    p.critical_iterations = 0;
-    p.per_aggressor_budget_bps = budget;
-    p.hw_window_ps = w;
+    Spec p;
+    p.scheme = Scheme::kHw;
+    p.aggressors = 1;
+    p.critical = scenario::Critical::kNone;
+    p.budget_bps = budget;
+    p.window_ps = w;
     Scenario s = build_scenario(p);
     // Trace per-window bytes with the monitor to find the worst window.
     qos::BandwidthMonitor& mon = *s.chip->qos_block(1).monitor;

@@ -29,9 +29,9 @@ int main() {
   // Solo reference for the critical task.
   double solo_mean = 0;
   {
-    ScenarioParams p;
-    p.scheme = Scheme::kSolo;
-    p.critical_iterations = 8;
+    Spec p;
+    p.aggressors = 0;
+    p.core.max_iterations = 8;
     Scenario s = build_scenario(p);
     solo_mean = run_critical(s, 400 * sim::kPsPerMs);
   }
@@ -47,10 +47,9 @@ int main() {
       100 * sim::kPsPerUs,
   };
   for (const sim::TimePs lag : lags) {
-    ScenarioParams p;
-    p.scheme = Scheme::kUnregulated;  // gates attached manually below
-    p.aggressor_count = 3;
-    p.critical_iterations = 8;
+    Spec p;  // unregulated: gates attached manually below
+    p.aggressors = 3;
+    p.core.max_iterations = 8;
     Scenario s = build_scenario(p);
     std::vector<std::unique_ptr<qos::LaggedRegulator>> regs;
     for (std::size_t i = 0; i < 3; ++i) {

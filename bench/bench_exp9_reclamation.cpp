@@ -29,27 +29,24 @@ struct Result {
 };
 
 Result run(bool regulated, bool reclaim) {
-  soc::SocConfig cfg;
-  soc::Soc chip(cfg);
-
+  Spec p;
+  p.critical = scenario::Critical::kNone;
   // Camera: phased reserved master on port 0.
-  wl::TrafficGenConfig cam;
+  wl::TrafficGenConfig& cam = p.generators.emplace_back();
   cam.name = "camera";
   cam.target_bps = 2e9;
   cam.active_ps = 2 * sim::kPsPerMs;
   cam.idle_ps = 2 * sim::kPsPerMs;
   cam.seed = 1;
-  chip.add_traffic_gen(0, cam);
-
   // Three hungry best-effort DMAs on ports 1..3.
-  std::vector<wl::TrafficGen*> be;
   for (std::size_t i = 1; i < 4; ++i) {
-    wl::TrafficGenConfig tg;
+    wl::TrafficGenConfig& tg = p.generators.emplace_back();
     tg.name = "be" + std::to_string(i);
     tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
     tg.seed = 10 + i;
-    be.push_back(&chip.add_traffic_gen(i, tg));
   }
+  Scenario s = build_scenario(p);
+  soc::Soc& chip = *s.chip;
 
   qos::QosManagerConfig mc;
   mc.capacity_bps = 11e9;  // measured platform peak under mixed traffic
@@ -79,9 +76,9 @@ Result run(bool regulated, bool reclaim) {
       2.0 * sim::bytes_per_second(
                 chip.accel_port(0).stats().bytes_granted.value(), horizon);
   double total = 0;
-  for (auto* g : be) {
-    total += sim::bytes_per_second(g->port().stats().bytes_granted.value(),
-                                   horizon);
+  for (std::size_t i = 1; i < s.aggressors.size(); ++i) {
+    total += sim::bytes_per_second(
+        s.aggressors[i]->port().stats().bytes_granted.value(), horizon);
   }
   r.best_effort_gbps = total / 1e9;
   r.bus_util = chip.dram().bus_utilization(horizon);

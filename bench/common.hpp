@@ -1,178 +1,77 @@
 /// \file common.hpp
-/// \brief Shared scenario builders for the experiment benches.
+/// \brief Shared helpers for the experiment benches.
 ///
 /// Every bench binary reconstructs one table or figure of the paper's
-/// evaluation (see DESIGN.md section 4). The helpers here assemble the
-/// recurring scenario: one latency-critical CPU task plus N accelerator
-/// aggressors, under one of the regulation schemes being compared.
+/// evaluation (see DESIGN.md section 4). The recurring scenario — one
+/// latency-critical CPU task plus N accelerator aggressors, under one of
+/// the regulation schemes being compared — is a scenario::Spec built by
+/// scenario::build(), the same builder the tools and the search use.
 #pragma once
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "exec/scenario_runner.hpp"
-#include "qos/cmri.hpp"
-#include "qos/prem_arbiter.hpp"
-#include "qos/regfile.hpp"
-#include "qos/soft_memguard.hpp"
-#include "soc/soc.hpp"
+#include "scenario/build.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/string_util.hpp"
-#include "workload/cpu_workloads.hpp"
-#include "workload/traffic_gen.hpp"
 
 namespace fgqos::bench {
 
-/// Regulation schemes compared across the experiments.
-enum class Scheme {
-  kSolo,          ///< no aggressors at all (baseline)
-  kUnregulated,   ///< aggressors on, no QoS
-  kSoftMemguard,  ///< software MemGuard (1 ms timer + overflow IRQ)
-  kHwQos,         ///< tightly-coupled hardware regulators (the paper)
-  kPremStrict,    ///< strict mutual exclusion: accelerators fully blocked
-                  ///< while the critical task runs (canonical PREM point)
-  kPrem,          ///< PREM TDMA (CPU-exclusive / FPGA-shared slots)
-  kPremCmri,      ///< PREM TDMA + controlled injection
-};
+using scenario::Scenario;
+using scenario::Scheme;
+using scenario::Spec;
 
-inline const char* scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kSolo: return "solo";
-    case Scheme::kUnregulated: return "unregulated";
-    case Scheme::kSoftMemguard: return "memguard_sw";
-    case Scheme::kHwQos: return "hw_qos";
-    case Scheme::kPremStrict: return "prem_strict";
-    case Scheme::kPrem: return "prem_tdma";
-    case Scheme::kPremCmri: return "prem_cmri";
-  }
-  return "?";
-}
-
-/// Gate that blocks every line while an external flag is true — models
-/// strict PREM mutual exclusion driven by the critical task's activity.
-class BlockWhileGate final : public axi::TxnGate {
- public:
-  explicit BlockWhileGate(const bool* blocked) : blocked_(blocked) {}
-  [[nodiscard]] bool allow(const axi::LineRequest&,
-                           sim::TimePs) const override {
-    return !*blocked_;
-  }
-  void on_grant(const axi::LineRequest&, sim::TimePs) override {}
-
- private:
-  const bool* blocked_;
-};
-
-/// One assembled scenario. Keeps ownership of the QoS scheme objects that
-/// are not owned by the Soc.
-struct Scenario {
-  std::unique_ptr<soc::Soc> chip;
-  cpu::CpuCore* critical = nullptr;          ///< nullptr if none added
-  std::vector<wl::TrafficGen*> aggressors;
-  std::unique_ptr<qos::SoftMemguard> memguard;
-  std::unique_ptr<qos::PremArbiter> prem;
-  std::unique_ptr<qos::CmriInjector> cmri;
-  std::unique_ptr<BlockWhileGate> strict_gate;
-  std::unique_ptr<bool> strict_blocked;
-
-  /// Aggregate aggressor bandwidth over the whole run (bytes/second).
-  [[nodiscard]] double aggressor_bps() const {
-    double total = 0;
-    for (const auto* g : aggressors) {
-      total += sim::bytes_per_second(
-          const_cast<wl::TrafficGen*>(g)->port().stats().bytes_granted.value(),
-          chip->now());
-    }
-    return total;
-  }
-};
-
-/// Parameters of the standard scenario.
-struct ScenarioParams {
-  Scheme scheme = Scheme::kUnregulated;
-  std::size_t aggressor_count = 4;
-  wl::Pattern aggressor_pattern = wl::Pattern::kSeqRead;
-  /// Iterations of the critical kernel (0 = no critical core).
-  std::uint64_t critical_iterations = 10;
-  /// Critical kernel factory; default pointer chase.
-  std::function<std::unique_ptr<cpu::Kernel>()> critical_kernel;
-  /// Per-aggressor budget for kHwQos / kSoftMemguard (bytes/second).
-  double per_aggressor_budget_bps = 400e6;
-  /// HW regulation window.
-  sim::TimePs hw_window_ps = sim::kPsPerUs;
-  /// SW MemGuard period and ISR latency.
-  sim::TimePs sw_period_ps = sim::kPsPerMs;
-  sim::TimePs sw_isr_latency_ps = 3 * sim::kPsPerUs;
-  /// PREM slot length; the frame is {CPU-exclusive, FPGA-shared}.
-  sim::TimePs prem_slot_ps = 10 * sim::kPsPerUs;
-  /// CMRI: bytes each non-owner may inject per slot.
-  std::uint64_t cmri_injection_bytes = 2048;
-  /// Phased aggressor activity (both zero = always on).
-  sim::TimePs aggressor_active_ps = 0;
-  sim::TimePs aggressor_idle_ps = 0;
-  /// Override the platform configuration before building.
-  std::function<void(soc::SocConfig&)> tweak_config;
-};
-
-/// Opt-in bench tracing: when FGQOS_TRACE=<path> is set in the
-/// environment, every scenario built by build_scenario() writes a Chrome
-/// trace there (a .1, .2, ... suffix keeps repeated builds apart).
-/// FGQOS_TRACE_FILTER selects categories.
-inline void maybe_open_env_trace(soc::Soc& chip) {
-  const char* path = std::getenv("FGQOS_TRACE");
-  if (path == nullptr || *path == '\0') {
-    return;
-  }
-  const char* filter_env = std::getenv("FGQOS_TRACE_FILTER");
-  static std::atomic<int> scenario_seq{0};
-  const int seq = scenario_seq.fetch_add(1);
-  std::string out = path;
-  if (seq > 0) {
-    out += '.';
-    out += std::to_string(seq);
-  }
-  chip.open_trace(out, filter_env != nullptr ? filter_env : "");
-}
-
-/// Opt-in bench interference attribution: when FGQOS_BLAME=<path> is set
-/// in the environment, every scenario built by build_scenario() runs with
-/// the attribution engine on (window FGQOS_BLAME_WINDOW_US, default 100)
-/// and run_critical() writes the blame matrices there as CSV (a .1, .2,
-/// ... suffix keeps repeated scenarios apart).
-inline const char* env_blame_path() {
-  const char* path = std::getenv("FGQOS_BLAME");
+/// Opt-in bench telemetry from the environment. FGQOS_TRACE=<path> makes
+/// every scenario built by build_scenario() write a Chrome trace there
+/// (FGQOS_TRACE_FILTER selects categories); FGQOS_BLAME=<path> turns
+/// interference attribution on (window FGQOS_BLAME_WINDOW_US, default 100)
+/// and run_critical() writes the blame matrices there as CSV. A .1, .2,
+/// ... suffix keeps repeated scenarios apart.
+inline const char* env_path(const char* name) {
+  const char* path = std::getenv(name);
   return (path != nullptr && *path != '\0') ? path : nullptr;
 }
 
-inline void maybe_enable_env_blame(soc::Soc& chip) {
-  if (env_blame_path() == nullptr) {
-    return;
+/// \p path on the first call for \p seq, then "<path>.1", "<path>.2", ...
+inline std::string numbered(const char* path, std::atomic<int>& seq) {
+  const int n = seq.fetch_add(1);
+  std::string out = path;
+  if (n > 0) {
+    out += '.';
+    out += std::to_string(n);
   }
-  double window_us = 100;
-  if (const char* w = std::getenv("FGQOS_BLAME_WINDOW_US")) {
-    window_us = std::atof(w);
+  return out;
+}
+
+inline scenario::Telemetry env_telemetry() {
+  scenario::Telemetry tel;
+  if (const char* path = env_path("FGQOS_TRACE")) {
+    static std::atomic<int> trace_seq{0};
+    tel.trace = numbered(path, trace_seq);
+    const char* filter = std::getenv("FGQOS_TRACE_FILTER");
+    tel.trace_filter = filter != nullptr ? filter : "";
   }
-  chip.enable_attribution(static_cast<sim::TimePs>(window_us * 1e6));
+  if (env_path("FGQOS_BLAME") != nullptr) {
+    const char* w = std::getenv("FGQOS_BLAME_WINDOW_US");
+    tel.attribution = true;
+    tel.attribution_window_ps =
+        static_cast<sim::TimePs>((w != nullptr ? std::atof(w) : 100) * 1e6);
+  }
+  return tel;
 }
 
 inline void maybe_dump_env_blame(soc::Soc& chip) {
-  const char* path = env_blame_path();
+  const char* path = env_path("FGQOS_BLAME");
   if (path == nullptr || chip.attribution() == nullptr) {
     return;
   }
   static std::atomic<int> blame_seq{0};
-  const int seq = blame_seq.fetch_add(1);
-  std::string out = path;
-  if (seq > 0) {
-    out += '.';
-    out += std::to_string(seq);
-  }
   chip.attribution()->finish(chip.now());
-  chip.attribution()->save_csv(out);
+  chip.attribution()->save_csv(numbered(path, blame_seq));
 }
 
 /// Shared `--jobs N` handling for the bench binaries: the flag (0 = one
@@ -182,15 +81,8 @@ inline void maybe_dump_env_blame(soc::Soc& chip) {
 /// CSV are byte-identical whatever the job count.
 inline exec::ExecConfig bench_exec_config(int argc, char** argv) {
   exec::ExecConfig cfg;
-  cfg.jobs = exec::jobs_from_env(1);
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--jobs=", 0) == 0) {
-      cfg.jobs = static_cast<std::size_t>(std::stoul(a.substr(7)));
-    } else if (a == "--jobs" && i + 1 < argc) {
-      cfg.jobs = static_cast<std::size_t>(std::stoul(argv[++i]));
-    }
-  }
+  cfg.jobs = static_cast<std::size_t>(util::ArgParser(argc, argv).get_int(
+      "jobs", static_cast<std::int64_t>(exec::jobs_from_env(1))));
   return cfg;
 }
 
@@ -201,104 +93,9 @@ inline void print_exec_summary(const exec::ScenarioRunner& runner) {
   }
 }
 
-/// Builds the scenario: platform + critical core + aggressors + scheme.
-inline Scenario build_scenario(const ScenarioParams& p) {
-  Scenario s;
-  soc::SocConfig cfg;
-  if (p.tweak_config) {
-    p.tweak_config(cfg);
-  }
-  s.chip = std::make_unique<soc::Soc>(cfg);
-  soc::Soc& chip = *s.chip;
-  maybe_open_env_trace(chip);
-  maybe_enable_env_blame(chip);
-
-  if (p.critical_iterations > 0) {
-    cpu::CoreConfig cc;
-    cc.name = "critical";
-    cc.max_iterations = p.critical_iterations;
-    std::unique_ptr<cpu::Kernel> k;
-    if (p.critical_kernel) {
-      k = p.critical_kernel();
-    } else {
-      wl::PointerChaseConfig pc;
-      pc.accesses_per_iteration = 1024;
-      k = wl::make_pointer_chase(pc);
-    }
-    s.critical = &chip.add_core(cc, std::move(k));
-  }
-
-  const std::size_t n = p.scheme == Scheme::kSolo ? 0 : p.aggressor_count;
-  for (std::size_t i = 0; i < n; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = "agg" + std::to_string(i);
-    tg.pattern = p.aggressor_pattern;
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 100 + i;
-    tg.active_ps = p.aggressor_active_ps;
-    tg.idle_ps = p.aggressor_idle_ps;
-    s.aggressors.push_back(&chip.add_traffic_gen(i % cfg.accel_ports, tg));
-  }
-
-  switch (p.scheme) {
-    case Scheme::kSolo:
-    case Scheme::kUnregulated:
-      break;
-    case Scheme::kPremStrict:
-      // Accelerators are blocked for as long as the scenario runs (the
-      // critical task is memory-active throughout): the canonical
-      // mutual-exclusion point — perfect isolation, zero best-effort
-      // bandwidth.
-      s.strict_blocked = std::make_unique<bool>(true);
-      s.strict_gate = std::make_unique<BlockWhileGate>(s.strict_blocked.get());
-      for (std::size_t i = 0; i < cfg.accel_ports; ++i) {
-        chip.accel_port(i).add_gate(*s.strict_gate);
-      }
-      break;
-    case Scheme::kHwQos:
-      for (std::size_t i = 0; i < n; ++i) {
-        qos::Regulator& reg =
-            *chip.qos_block(1 + (i % cfg.accel_ports)).regulator;
-        reg.set_window(p.hw_window_ps);
-        reg.set_rate(p.per_aggressor_budget_bps);
-        reg.set_enabled(true);
-      }
-      break;
-    case Scheme::kSoftMemguard: {
-      qos::SoftMemguardConfig mc;
-      mc.period_ps = p.sw_period_ps;
-      mc.isr_latency_ps = p.sw_isr_latency_ps;
-      s.memguard = std::make_unique<qos::SoftMemguard>(chip.sim(), mc);
-      for (std::size_t i = 0; i < n && i < cfg.accel_ports; ++i) {
-        axi::MasterPort& port = chip.accel_port(i);
-        s.memguard->set_rate(port.id(), p.per_aggressor_budget_bps);
-        port.add_gate(*s.memguard);
-      }
-      break;
-    }
-    case Scheme::kPrem:
-    case Scheme::kPremCmri: {
-      // Frame = {CPU exclusive, FPGA shared}: during the CPU slot all
-      // accelerators are gated; during the FPGA slot they are free.
-      qos::PremConfig pc;
-      pc.schedule = {chip.cpu_port().id(), qos::kAllMasters};
-      pc.slot_ps = p.prem_slot_ps;
-      s.prem = std::make_unique<qos::PremArbiter>(chip.sim(), pc);
-      axi::TxnGate* gate = s.prem.get();
-      if (p.scheme == Scheme::kPremCmri) {
-        qos::CmriConfig cc;
-        cc.injection_budget_bytes = p.cmri_injection_bytes;
-        s.cmri = std::make_unique<qos::CmriInjector>(*s.prem, cc);
-        gate = s.cmri.get();
-      }
-      for (std::size_t i = 0; i < cfg.accel_ports; ++i) {
-        // Gates see their own grants through on_grant; no observer needed.
-        chip.accel_port(i).add_gate(*gate);
-      }
-      break;
-    }
-  }
-  return s;
+/// Builds \p spec with the opt-in environment telemetry.
+inline Scenario build_scenario(const Spec& spec) {
+  return scenario::build(spec, env_telemetry());
 }
 
 /// Runs the scenario until the critical core halts (or the deadline).

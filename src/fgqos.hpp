@@ -23,5 +23,4 @@
 #include "soc/soc.hpp"                   // IWYU pragma: export
 #include "workload/cpu_workloads.hpp"    // IWYU pragma: export
 #include "workload/suite.hpp"            // IWYU pragma: export
-#include "workload/trace.hpp"            // IWYU pragma: export
 #include "workload/traffic_gen.hpp"      // IWYU pragma: export

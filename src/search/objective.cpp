@@ -2,10 +2,9 @@
 
 #include <string>
 
-#include "soc/soc.hpp"
+#include "scenario/build.hpp"
 #include "telemetry/manifest.hpp"
 #include "util/config_error.hpp"
-#include "workload/cpu_workloads.hpp"
 
 namespace fgqos::search {
 
@@ -31,39 +30,31 @@ EvalResult evaluate_attack(const AttackConfig* config, const EvalSpec& spec,
                            sim::TimePs slo_iter_ps,
                            const std::string& metrics_json_path,
                            const telemetry::RunManifest* manifest) {
-  soc::SocConfig scfg;
-  soc::Soc soc(scfg);
-
-  wl::PointerChaseConfig chase;
-  chase.name = "victim";
-  chase.accesses_per_iteration = spec.victim_accesses;
-  cpu::CoreConfig core_cfg;
-  core_cfg.name = "victim";
-  core_cfg.max_iterations = spec.victim_iterations;
-  core_cfg.rng_seed = sim_seed;
-  auto& core = soc.add_core(core_cfg, wl::make_pointer_chase(chase));
-
+  scenario::Spec s;
+  s.core.name = "victim";
+  s.core.max_iterations = spec.victim_iterations;
+  s.core.rng_seed = sim_seed;
+  s.chase.name = "victim";
+  s.chase.accesses_per_iteration = spec.victim_accesses;
+  s.aggressors = 0;
   if (config != nullptr) {
-    const auto gens = AttackSpace::to_traffic_gens(*config, sim_seed);
-    for (std::size_t i = 0; i < gens.size(); ++i) {
-      soc.add_traffic_gen(i % soc.accel_port_count(), gens[i]);
-    }
+    s.generators = AttackSpace::to_traffic_gens(*config, sim_seed);
   }
-
   if (regulated) {
-    const auto window_ps =
-        static_cast<sim::TimePs>(spec.window_us * sim::kPsPerUs);
-    for (std::size_t p = 0; p < soc.accel_port_count(); ++p) {
-      auto& reg = *soc.qos_block(1 + p).regulator;
-      reg.set_window(window_ps);
-      reg.set_rate(spec.regulated_budget_mbps * 1e6);
-      reg.set_enabled(true);
-    }
+    // The certified budget is per HP port, so every port gets a regulator
+    // whether or not the attack drives it.
+    s.scheme = scenario::Scheme::kHw;
+    s.budget_bps = spec.regulated_budget_mbps * 1e6;
+    s.window_ps = static_cast<sim::TimePs>(spec.window_us * sim::kPsPerUs);
+    s.regulate_idle_ports = true;
   }
-
   if (spec.faults != nullptr && !spec.faults->empty()) {
-    soc.arm_faults(*spec.faults, sim_seed);
+    s.faults = spec.faults;
   }
+  s.seed = sim_seed;
+  scenario::Scenario run = scenario::build(s);
+  soc::Soc& soc = *run.chip;
+  const cpu::CpuCore& core = *run.critical;
 
   const auto deadline =
       static_cast<sim::TimePs>(spec.deadline_ms * sim::kPsPerMs);

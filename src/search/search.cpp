@@ -9,6 +9,7 @@
 
 #include "exec/job.hpp"
 #include "search/optimizer.hpp"
+#include "soc/config.hpp"
 #include "telemetry/manifest.hpp"
 #include "util/config_error.hpp"
 #include "util/json.hpp"
@@ -507,8 +508,8 @@ SearchOutcome run_search(const SearchSpec& spec, exec::ScenarioRunner& runner,
   env.masters.emplace("cpu", cpu);
 
   const double budget_bps = spec.eval.regulated_budget_mbps * 1e6;
-  constexpr std::size_t kAccelPorts = 4;  // SocConfig default topology
-  for (std::size_t p = 0; p < kAccelPorts; ++p) {
+  const std::size_t ports = soc::SocConfig{}.accel_ports;
+  for (std::size_t p = 0; p < ports; ++p) {
     qos::MasterBound hp;
     hp.max_reserved_bps = budget_bps;
     hp.max_bandwidth_bps = budget_bps * (1.0 + spec.margin);
@@ -516,7 +517,7 @@ SearchOutcome run_search(const SearchSpec& spec, exec::ScenarioRunner& runner,
   }
   env.certified_total_bps =
       std::min(spec.capacity_bps * spec.max_reservable_frac,
-               budget_bps * static_cast<double>(kAccelPorts));
+               budget_bps * static_cast<double>(ports));
 
   out.envelope = std::move(env);
   return out;

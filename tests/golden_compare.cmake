@@ -1,26 +1,46 @@
-# Runs one fgqos_sweep invocation and compares the artifact it writes with
-# a committed golden, byte for byte (GOLDEN) or by SHA-256 (GOLDEN_SHA256:
-# a `sha256sum` line, for goldens too large to commit).
+# Runs one command in a working directory and compares the artifacts it
+# writes with committed goldens, byte for byte (GOLDEN: one artifact) or by
+# SHA-256 (GOLDEN_SHA256: a file of `sha256sum` lines, for goldens too
+# large to commit; each artifact is matched to the line naming its file).
 #
-#   cmake -DSWEEP=<fgqos_sweep> "-DARGS=<sweep flags>" -DOUT=<artifact>
+#   cmake -DCMD=<program> "-DARGS=<flags>" -DWORKDIR=<dir>
+#         "-DOUT=<artifact> [<artifact>...]"
 #         (-DGOLDEN=<file> | -DGOLDEN_SHA256=<file>) -P golden_compare.cmake
-separate_arguments(sweep_args UNIX_COMMAND "${ARGS}")
-execute_process(COMMAND "${SWEEP}" ${sweep_args}
+#
+# OUT paths are relative to WORKDIR.
+separate_arguments(cmd_args UNIX_COMMAND "${ARGS}")
+separate_arguments(outs UNIX_COMMAND "${OUT}")
+file(MAKE_DIRECTORY "${WORKDIR}")
+foreach(out IN LISTS outs)
+  file(REMOVE "${WORKDIR}/${out}")
+endforeach()
+execute_process(COMMAND "${CMD}" ${cmd_args} WORKING_DIRECTORY "${WORKDIR}"
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fgqos_sweep ${ARGS} failed: ${rc}")
+  message(FATAL_ERROR "${CMD} ${ARGS} failed: ${rc}")
 endif()
 if(DEFINED GOLDEN)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-                          "${GOLDEN}" "${OUT}" RESULT_VARIABLE differs)
+                          "${GOLDEN}" "${WORKDIR}/${OUT}" RESULT_VARIABLE differs)
   if(NOT differs EQUAL 0)
-    message(FATAL_ERROR "${OUT} differs from ${GOLDEN}")
+    message(FATAL_ERROR "${WORKDIR}/${OUT} differs from ${GOLDEN}")
   endif()
 else()
-  file(SHA256 "${OUT}" got)
-  file(STRINGS "${GOLDEN_SHA256}" want LIMIT_COUNT 1)
-  string(SUBSTRING "${want}" 0 64 want)
-  if(NOT got STREQUAL want)
-    message(FATAL_ERROR "${OUT}: sha256 ${got}, golden ${want}")
-  endif()
+  file(STRINGS "${GOLDEN_SHA256}" lines)
+  foreach(out IN LISTS outs)
+    get_filename_component(name "${out}" NAME)
+    set(want "")
+    foreach(line IN LISTS lines)
+      if(line MATCHES "^([0-9a-f]+)  (.+)$" AND CMAKE_MATCH_2 STREQUAL name)
+        set(want "${CMAKE_MATCH_1}")
+      endif()
+    endforeach()
+    if(want STREQUAL "")
+      message(FATAL_ERROR "${GOLDEN_SHA256} has no digest for ${name}")
+    endif()
+    file(SHA256 "${WORKDIR}/${out}" got)
+    if(NOT got STREQUAL want)
+      message(FATAL_ERROR "${out}: sha256 ${got}, golden ${want}")
+    endif()
+  endforeach()
 endif()
